@@ -2,14 +2,14 @@
     shared-nothing [tlp_serve] shards, speaking both [tlp.rpc/v1] and
     [/v2] framings.
 
-    Each accepted connection negotiates its framing exactly like a
-    shard (first byte [0xf2] opens the v2 hello) and is served
-    strictly sequentially: the router parses each request just enough
-    to pick a shard — {!Tlp_route.Ring.shard_of} on the request's
-    instance digest — then forwards the {e raw request bytes} over a
-    pooled {!Tlp_client.Client} and relays the shard's raw response
-    back, so a response through the router is byte-identical to one
-    from a direct connection (PROTOCOL.md §8 pins this).
+    Connections are accepted, negotiated and read by
+    {!Tlp_server.Transport}, as on a shard, and each is served strictly
+    sequentially: the router parses each request just enough to pick a
+    shard — {!Tlp_route.Ring.shard_of} on the request's instance digest
+    — then forwards the {e raw request bytes} over a pooled
+    {!Tlp_client.Client} and relays the shard's raw response back, so a
+    response through the router is byte-identical to one from a direct
+    connection (PROTOCOL.md §8 pins this).
 
     [stats], [health] and [cluster] are answered by the router itself:
     the first two because the control plane must respond even when
@@ -38,7 +38,6 @@ type config = {
       (** per-shard-call deadline for requests that carry no
           [timeout_ms] of their own *)
   pool_capacity : int;  (** idle connections kept per (shard, framing) *)
-  max_frame_bytes : int;
   seed : int;  (** client backoff jitter master *)
 }
 

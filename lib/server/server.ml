@@ -11,7 +11,6 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   default_timeout_ms : int option;
-  max_frame_bytes : int;
   seed : int;
   enable_debug : bool;
   session_ttl_s : float;
@@ -25,32 +24,19 @@ let default_config =
     queue_capacity = 64;
     cache_capacity = 256;
     default_timeout_ms = Some 30_000;
-    max_frame_bytes = 4 * 1024 * 1024;
     seed = 0;
     enable_debug = false;
     session_ttl_s = Tlp_session.Session.default_ttl_s;
   }
 
-(* A fully-formed response, rendered by the reply writer for whichever
-   protocol the connection negotiated: the v1 path splices [Rendered]
-   entries' JSON text into a newline-terminated envelope, the v2 path
-   splices their Binval bytes into a length-prefixed frame — both out
-   of the same handler outcome. *)
-type response = {
-  resp_id : Json.t;
-  body : (Handler.payload * Json.t option, Protocol.error) result;
-      (* Ok (payload, trace) | Error err *)
-}
-
 (* A job is an admitted frame plus everything needed to answer it from a
-   worker thread: the absolute deadline, the connection's serialized
-   reply writer (returning the render-done and write-done timestamps
-   for the trace spans), and (for tracing) the server-assigned request
-   id and the accept/enqueue timestamps. *)
+   worker thread: the absolute deadline, the connection to reply on
+   (which holds the job until [finish] answers it), and (for tracing)
+   the server-assigned request id and the accept/enqueue timestamps. *)
 type job = {
   frame : Protocol.frame;
   deadline : float option;
-  reply : response -> float * float;
+  conn : Transport.conn;
   rng : Tlp_util.Rng.t;
   request_id : int;
   t_accept : float;  (* read off the socket, before parsing *)
@@ -59,28 +45,63 @@ type job = {
 
 type t = {
   config : config;
-  listener : Unix.file_descr;
-  actual_port : int;
+  transport : Transport.t;
   server_state : State.t;
   queue : job Admission.t;
   pool : Pool.t;
-  stop_flag : bool Atomic.t;
-  conn_mutex : Mutex.t;
-  conn_done : Condition.t;
-  mutable live_conns : int;
-  mutable accepter : Thread.t option;
   mutable workers : Thread.t list;
-  mutable waited : bool;
 }
 
-let port t = t.actual_port
+let port t = Transport.port t.transport
 let state t = t.server_state
 
-let send_error t ~reply ~id err =
+(* Render one response, [Ok (payload, trace)] or [Error err], into [buf]
+   for the connection's framing and send it; returns the (render-done,
+   write-done) timestamps for the trace spans. [buf] is the replying
+   thread's own (a worker's, or the connection's), so only the write
+   takes the connection's lock. The v1 path splices a [Rendered]
+   entry's JSON text into a newline-terminated envelope, byte-for-byte
+   the pre-v2 server's; the v2 path splices its Binval bytes into a
+   length-prefixed frame. *)
+let[@tlp.hot] conn_respond buf conn ~id body =
+  Bytebuf.clear buf;
+  (match Transport.wire conn with
+  | Transport.V1 ->
+      (match body with
+      | Ok (payload, trace) ->
+          let result =
+            match payload with
+            | Handler.Rendered entry -> entry.Cache.v1
+            | Handler.Doc doc -> Json.to_string doc
+          in
+          Bytebuf.add_string buf
+            (match trace with
+            | Some trace -> Protocol.render_ok_traced ~id ~result ~trace
+            | None -> Protocol.render_ok ~id ~result)
+      | Error err -> Bytebuf.add_string buf (Protocol.render_error ~id err));
+      Bytebuf.add_char buf '\n'
+  | Transport.V2 -> (
+      match body with
+      | Ok (payload, trace) -> (
+          match payload with
+          | Handler.Rendered entry ->
+              Frame.encode_ok buf ~id ~result:entry.Cache.v2 ~trace
+          | Handler.Doc doc -> Frame.encode_ok_doc buf ~id ~doc ~trace)
+      | Error err -> Frame.encode_error buf ~id err));
+  let t_rendered = Timer.now () in
+  Transport.send conn buf;
+  let t_written = Timer.now () in
+  (t_rendered, t_written)
+
+(* Errors answered on the connection thread, before or instead of
+   admission. *)
+let send_error t conn ~id err =
   State.with_lock t.server_state (fun () ->
       State.record_error t.server_state
         ~code:(Protocol.error_code_string err.Protocol.code));
-  ignore (reply { resp_id = id; body = Error err } : float * float)
+  ignore
+    (conn_respond (Transport.conn_buffer conn) conn ~id (Error err)
+      : float * float)
 
 (* ---------- tracing ---------- *)
 
@@ -100,7 +121,7 @@ let ms a b = (b -. a) *. 1000.0
    past its deadline counts as an overrun — answered anyway, but
    tallied per method and, when traced, visible as an [overrun_ms]
    span. *)
-let finish t job ~t_dispatch ~executed outcome =
+let finish t buf job ~t_dispatch ~executed outcome =
   let frame = job.frame in
   let t_solved = Timer.now () in
   let meth = Protocol.method_name frame.Protocol.request in
@@ -117,7 +138,7 @@ let finish t job ~t_dispatch ~executed outcome =
         | Some o_ms ->
             State.record_overrun t.server_state ~meth ~ns:(o_ms *. 1e6)
         | None -> ());
-  let response, ok =
+  let body, ok =
     match outcome with
     | Ok payload ->
         let trace =
@@ -140,15 +161,17 @@ let finish t job ~t_dispatch ~executed outcome =
                  ])
           else None
         in
-        ( { resp_id = frame.Protocol.id; body = Ok (payload, trace) },
-          true )
+        (Ok (payload, trace), true)
     | Error err ->
         State.with_lock t.server_state (fun () ->
             State.record_error t.server_state
               ~code:(Protocol.error_code_string err.Protocol.code));
-        ({ resp_id = frame.Protocol.id; body = Error err }, false)
+        (Error err, false)
   in
-  let t_rendered, t_written = job.reply response in
+  let t_rendered, t_written =
+    conn_respond buf job.conn ~id:frame.Protocol.id body
+  in
+  Transport.release job.conn;
   if frame.Protocol.trace then begin
     State.with_lock t.server_state (fun () ->
         State.record_trace t.server_state
@@ -174,9 +197,9 @@ let finish t job ~t_dispatch ~executed outcome =
    server sink after the join — the same single-writer discipline as
    Batch.solve_batch. *)
 let cluster_doc t =
-  Handler.solo_cluster_doc ~host:t.config.host ~port:t.actual_port
+  Handler.solo_cluster_doc ~host:t.config.host ~port:(port t)
 
-let execute t job =
+let execute t buf job =
   let t_dispatch = Timer.now () in
   let request_metrics = Metrics.create () in
   let outcome =
@@ -195,9 +218,11 @@ let execute t job =
   in
   State.with_lock t.server_state (fun () ->
       State.merge_request_metrics t.server_state request_metrics);
-  finish t job ~t_dispatch ~executed:true outcome
+  finish t buf job ~t_dispatch ~executed:true outcome
 
+(* Each worker renders its replies into a buffer of its own. *)
 let worker_loop t =
+  let buf = Bytebuf.create 4096 in
   let rec loop () =
     match Admission.pop t.queue with
     | None -> () (* closed and drained *)
@@ -206,9 +231,9 @@ let worker_loop t =
         | Some d when Timer.now () >= d ->
             (* [>=]: a deadline hit exactly at dispatch is already
                missed — work only counts if it finishes inside it. *)
-            finish t job ~t_dispatch:(Timer.now ()) ~executed:false
+            finish t buf job ~t_dispatch:(Timer.now ()) ~executed:false
               (Error (Protocol.timeout "deadline expired while queued"))
-        | _ -> execute t job);
+        | _ -> execute t buf job);
         loop ()
   in
   loop ()
@@ -226,101 +251,12 @@ let control_plane (request : Protocol.request) =
   | Protocol.Resolve _ ->
       false
 
-(* The framing a connection speaks, decided by its first byte: 0xf2
-   (which can never begin a JSON document) opens the v2 hello, anything
-   else is a v1 JSON line already in flight. *)
-type wire = Undecided | V1 | V2
-
-type conn = {
-  fd : Unix.file_descr;
-  write_mutex : Mutex.t;
-  inflight_mutex : Mutex.t;
-  inflight_done : Condition.t;
-  wbuf : Bytebuf.t;
-      (* pooled write buffer, guarded by [write_mutex]; grown to the
-         connection's working set once, then reused per response *)
-  mutable wire : wire;
-  mutable inflight : int;  (* admitted jobs not yet replied to *)
-  mutable alive : bool;  (* peer still reachable for writes *)
-}
-
-(* Module-level recursion keeps the short-write retry loop free of the
-   per-call ref the old [while] needed. *)
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
-
-(* Write [wbuf] to the socket. Caller holds [write_mutex]. *)
-let flush_wbuf conn =
-  try
-    if conn.alive then
-      write_all conn.fd (Bytebuf.unsafe_bytes conn.wbuf) 0
-        (Bytebuf.length conn.wbuf)
-  with Unix.Unix_error _ -> conn.alive <- false
-
-let conn_send_raw conn s =
-  Mutex.lock conn.write_mutex;
-  Bytebuf.clear conn.wbuf;
-  Bytebuf.add_string conn.wbuf s;
-  flush_wbuf conn;
-  Mutex.unlock conn.write_mutex
-
-(* Render one response into the pooled write buffer for the
-   connection's protocol and write it. Returns the (render-done,
-   write-done) timestamps for the trace spans. The v1 rendering is
-   byte-for-byte the pre-v2 server's ([render_ok]/[render_error] plus
-   newline); the v2 rendering splices the same payload into a
-   length-prefixed binary frame. *)
-let[@tlp.hot] conn_respond conn response =
-  Mutex.lock conn.write_mutex;
-  let buf = conn.wbuf in
-  Bytebuf.clear buf;
-  let id = response.resp_id in
-  (match conn.wire with
-  | Undecided | V1 ->
-      (match response.body with
-      | Ok (payload, trace) ->
-          let result =
-            match payload with
-            | Handler.Rendered entry -> entry.Cache.v1
-            | Handler.Doc doc -> Json.to_string doc
-          in
-          Bytebuf.add_string buf
-            (match trace with
-            | Some trace -> Protocol.render_ok_traced ~id ~result ~trace
-            | None -> Protocol.render_ok ~id ~result)
-      | Error err -> Bytebuf.add_string buf (Protocol.render_error ~id err));
-      Bytebuf.add_char buf '\n'
-  | V2 -> (
-      match response.body with
-      | Ok (payload, trace) -> (
-          match payload with
-          | Handler.Rendered entry ->
-              Frame.encode_ok buf ~id ~result:entry.Cache.v2 ~trace
-          | Handler.Doc doc -> Frame.encode_ok_doc buf ~id ~doc ~trace)
-      | Error err -> Frame.encode_error buf ~id err));
-  let t_rendered = Timer.now () in
-  flush_wbuf conn;
-  let t_written = Timer.now () in
-  Mutex.unlock conn.write_mutex;
-  (t_rendered, t_written)
-
-let job_reply conn response =
-  let stamps = conn_respond conn response in
-  Mutex.lock conn.inflight_mutex;
-  conn.inflight <- conn.inflight - 1;
-  if conn.inflight = 0 then Condition.broadcast conn.inflight_done;
-  Mutex.unlock conn.inflight_mutex;
-  stamps
-
 (* Admission of one parsed frame — shared by both framings; only the
    parse/decode step and the reply rendering differ per protocol. *)
 let handle_parsed t conn ~t_accept parsed =
   begin
     match parsed with
-    | Error (id, err) -> send_error t ~reply:(conn_respond conn) ~id err
+    | Error (id, err) -> send_error t conn ~id err
     | Ok frame ->
         let request = frame.Protocol.request in
         let request_id =
@@ -339,21 +275,23 @@ let handle_parsed t conn ~t_accept parsed =
             {
               frame;
               deadline = None;
-              reply = conn_respond conn;
+              conn;
               rng;
               request_id;
               t_accept;
               t_queued;
             }
           in
-          finish t job ~t_dispatch:t_queued ~executed:false
+          Transport.hold conn;
+          finish t (Transport.conn_buffer conn) job ~t_dispatch:t_queued
+            ~executed:false
             (Handler.handle ~state:t.server_state
                ~queue_depth:(fun () -> Admission.length t.queue)
                ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng
                ~metrics request)
         end
-        else if Atomic.get t.stop_flag then
-          send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
+        else if Transport.stopping t.transport then
+          send_error t conn ~id:frame.Protocol.id
             (Protocol.overloaded "server is draining")
         else begin
           let now = Timer.now () in
@@ -390,12 +328,12 @@ let handle_parsed t conn ~t_accept parsed =
                     now +. (float_of_int (depth + 1) *. est_ns *. 1e-9) > d)
           in
           if expired then
-            send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
+            send_error t conn ~id:frame.Protocol.id
               (Protocol.timeout "deadline already expired on arrival")
           else if doomed then begin
             State.with_lock t.server_state (fun () ->
                 State.record_shed t.server_state);
-            send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
+            send_error t conn ~id:frame.Protocol.id
               (Protocol.overloaded "deadline unmeetable at current load")
           end
           else begin
@@ -406,28 +344,22 @@ let handle_parsed t conn ~t_accept parsed =
               {
                 frame;
                 deadline;
-                reply = job_reply conn;
+                conn;
                 rng;
                 request_id;
                 t_accept;
                 t_queued = Timer.now ();
               }
             in
-            Mutex.lock conn.inflight_mutex;
-            conn.inflight <- conn.inflight + 1;
-            Mutex.unlock conn.inflight_mutex;
+            Transport.hold conn;
             if
               not
                 (Admission.try_push t.queue
                    ~priority:frame.Protocol.priority ~deadline job)
             then begin
-              (* Undo the optimistic inflight count: the error reply below
-                 goes through conn_respond, not job_reply. *)
-              Mutex.lock conn.inflight_mutex;
-              conn.inflight <- conn.inflight - 1;
-              if conn.inflight = 0 then Condition.broadcast conn.inflight_done;
-              Mutex.unlock conn.inflight_mutex;
-              send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
+              (* Undo the optimistic hold: the job was never admitted. *)
+              Transport.release conn;
+              send_error t conn ~id:frame.Protocol.id
                 (Protocol.overloaded
                    (if Admission.closed t.queue then "server is draining"
                     else "admission queue full"))
@@ -436,252 +368,49 @@ let handle_parsed t conn ~t_accept parsed =
         end
   end
 
-let handle_line t conn line =
-  if String.trim line <> "" then begin
-    let t_accept = Timer.now () in
-    handle_parsed t conn ~t_accept (Protocol.parse_frame line)
-  end
-
-let handle_v2_frame t conn buf ~pos ~len =
+let handle_frame t conn bytes ~pos ~len =
   let t_accept = Timer.now () in
-  handle_parsed t conn ~t_accept (Frame.decode_request buf ~pos ~len)
-
-let drain_inflight conn =
-  Mutex.lock conn.inflight_mutex;
-  while conn.inflight > 0 do
-    Condition.wait conn.inflight_done conn.inflight_mutex
-  done;
-  Mutex.unlock conn.inflight_mutex
-
-let connection_loop t fd =
-  let conn =
-    {
-      fd;
-      write_mutex = Mutex.create ();
-      inflight_mutex = Mutex.create ();
-      inflight_done = Condition.create ();
-      wbuf = Bytebuf.create 4096;
-      wire = Undecided;
-      inflight = 0;
-      alive = true;
-    }
-  in
-  (* A short receive timeout turns blocking reads into periodic stop
-     checks, so idle connections cannot stall the drain. *)
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2
-   with Unix.Unix_error _ -> ());
-  (* Pooled read buffer: the socket reads straight into its backing
-     store and the frame scans walk it in place, so a settled
-     connection allocates nothing per request on the read side. *)
-  let rbuf = Bytebuf.create 4096 in
-  let overflow = ref false in
-  let eof = ref false in
-  (* v1: offset the newline scan already covered, so re-scans after a
-     partial read don't retraverse the prefix. *)
-  let scanned = ref 0 in
-  let frame_overflow () =
-    overflow := true;
-    send_error t ~reply:(conn_respond conn) ~id:Json.Null
-      (Protocol.bad_request
-         (Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes))
-  in
-  (* Serve every complete v1 line in [rbuf]; keep the partial tail.
-     The scan is bounded by the logical length — the backing store can
-     hold stale bytes past it, so [Bytes.index_from] would be wrong. *)
-  let process_v1 () =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let bytes = Bytebuf.unsafe_bytes rbuf in
-      let len = Bytebuf.length rbuf in
-      let nl = ref !scanned in
-      while !nl < len && Bytes.unsafe_get bytes !nl <> '\n' do
-        incr nl
-      done;
-      if !nl < len then begin
-        let line = Bytes.sub_string bytes 0 !nl in
-        Bytebuf.shift_left rbuf ~pos:(!nl + 1);
-        scanned := 0;
-        handle_line t conn line;
-        progress := true
-      end
-      else scanned := len
-    done;
-    if Bytebuf.length rbuf > t.config.max_frame_bytes then frame_overflow ()
-  in
-  (* Serve every complete length-prefixed v2 frame in [rbuf]. *)
-  let process_v2 () =
-    let progress = ref true in
-    while !progress && not !overflow do
-      progress := false;
-      let len = Bytebuf.length rbuf in
-      if len >= 4 then begin
-        let bytes = Bytebuf.unsafe_bytes rbuf in
-        let flen =
-          (Bytes.get_uint8 bytes 0 lsl 24)
-          lor (Bytes.get_uint8 bytes 1 lsl 16)
-          lor (Bytes.get_uint8 bytes 2 lsl 8)
-          lor Bytes.get_uint8 bytes 3
-        in
-        if flen > t.config.max_frame_bytes then frame_overflow ()
-        else if len >= 4 + flen then begin
-          handle_v2_frame t conn bytes ~pos:4 ~len:flen;
-          Bytebuf.shift_left rbuf ~pos:(4 + flen);
-          progress := true
-        end
-      end
-    done
-  in
-  (* First byte decides the framing: 0xf2 opens the v2 hello (echoed
-     back once complete; a mismatch after 0xf2 is a clean close),
-     anything else is a v1 JSON line already in flight. *)
-  let negotiate () =
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    if Bytes.get bytes 0 <> Frame.hello_byte then conn.wire <- V1
-    else begin
-      let hlen = String.length Frame.hello in
-      if Bytebuf.length rbuf >= hlen then
-        if Bytes.sub_string bytes 0 hlen = Frame.hello then begin
-          conn.wire <- V2;
-          Bytebuf.shift_left rbuf ~pos:hlen;
-          conn_send_raw conn Frame.hello
-        end
-        else eof := true
-    end
-  in
-  while (not !eof) && (not !overflow) && not (Atomic.get t.stop_flag) do
-    Bytebuf.reserve rbuf 4096;
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    let off = Bytebuf.length rbuf in
-    (match Unix.read fd bytes off (Bytes.length bytes - off) with
-    | 0 -> eof := true
-    | n ->
-        Bytebuf.unsafe_advance rbuf n;
-        if conn.wire = Undecided then negotiate ();
-        (match conn.wire with
-        | Undecided -> () (* partial hello: wait for the rest *)
-        | V1 -> process_v1 ()
-        | V2 -> process_v2 ())
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        () (* receive-timeout tick: recheck the stop flag *)
-    | exception Unix.Unix_error _ -> eof := true)
-  done;
-  (* A final unterminated v1 line at EOF is still served (netcat -q0
-     style clients close without a trailing newline); a partial v2
-     frame or hello is dropped — binary framing is explicit. *)
-  if !eof && (not !overflow) && conn.wire = V1 && Bytebuf.length rbuf > 0
-  then begin
-    let line = Bytebuf.contents rbuf in
-    Bytebuf.clear rbuf;
-    handle_line t conn line
-  end;
-  (* Answer everything this connection admitted before hanging up. *)
-  drain_inflight conn;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conn_mutex;
-  t.live_conns <- t.live_conns - 1;
-  if t.live_conns = 0 then Condition.broadcast t.conn_done;
-  Mutex.unlock t.conn_mutex
-
-(* ---------- accept loop ---------- *)
-
-let accept_loop t =
-  let continue = ref true in
-  while !continue && not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listener ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listener with
-        | fd, _ ->
-            Mutex.lock t.conn_mutex;
-            t.live_conns <- t.live_conns + 1;
-            Mutex.unlock t.conn_mutex;
-            ignore (Thread.create (fun () -> connection_loop t fd) ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> continue := false)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (* No new connections, so no new pushes after the queue drains;
-     closing here starts the worker drain. *)
-  Admission.close t.queue
+  handle_parsed t conn ~t_accept
+    (match Transport.wire conn with
+    | Transport.V1 -> Protocol.parse_frame (Bytes.sub_string bytes pos len)
+    | Transport.V2 -> Frame.decode_request bytes ~pos ~len)
 
 (* ---------- lifecycle ---------- *)
 
 let start config =
   let jobs = Stdlib.max 1 config.jobs in
-  (* A client hanging up mid-response must not kill the daemon. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
-  in
-  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener addr;
-     Unix.listen listener 128
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let actual_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
-  in
+  let transport = Transport.listen ~host:config.host ~port:config.port in
   let t =
     {
       config = { config with jobs };
-      listener;
-      actual_port;
+      transport;
       server_state =
         State.create ~cache_capacity:config.cache_capacity
           ~queue_capacity:config.queue_capacity ~seed:config.seed
           ~session_ttl_s:config.session_ttl_s ();
       queue = Admission.create ~capacity:config.queue_capacity ();
       pool = Pool.create ~jobs;
-      stop_flag = Atomic.make false;
-      conn_mutex = Mutex.create ();
-      conn_done = Condition.create ();
-      live_conns = 0;
-      accepter = None;
       workers = [];
-      waited = false;
     }
   in
   t.workers <- List.init jobs (fun _ -> Thread.create (fun () -> worker_loop t) ());
-  t.accepter <- Some (Thread.create (fun () -> accept_loop t) ());
+  Transport.serve transport ~frame:(handle_frame t) ~error:(fun conn err ->
+      send_error t conn ~id:Json.Null err);
   t
 
-let stop t = Atomic.set t.stop_flag true
+let stop t = Transport.stop t.transport
 
+(* Drain order: the listener closes; closing the queue lets the workers
+   answer every admitted job and exit; each connection then closes once
+   its held replies are written; the domain pool goes last. *)
 let wait t =
-  let already =
-    Mutex.lock t.conn_mutex;
-    let w = t.waited in
-    t.waited <- true;
-    Mutex.unlock t.conn_mutex;
-    w
-  in
-  if not already then begin
-    (match t.accepter with Some th -> Thread.join th | None -> ());
-    (* Accept loop closed the queue on its way out; workers drain every
-       admitted job, answer it, and exit. *)
-    List.iter Thread.join t.workers;
-    Mutex.lock t.conn_mutex;
-    while t.live_conns > 0 do
-      Condition.wait t.conn_done t.conn_mutex
-    done;
-    Mutex.unlock t.conn_mutex;
-    Pool.shutdown t.pool
-  end
+  Transport.wait t.transport
+    ~after_accept:(fun () ->
+      Admission.close t.queue;
+      List.iter Thread.join t.workers)
+    ~after_connections:(fun () -> Pool.shutdown t.pool)
 
 let run config =
   let t = start config in
-  let on_signal _ = stop t in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
+  Transport.handle_signals t.transport;
   t

@@ -1,28 +1,19 @@
-(** The TCP daemon: accept loop, connection threads, worker threads over
-    the bounded {!Admission} queue, request execution on a
-    [Tlp_engine.Pool] domain pool, graceful drain.
+(** The [tlp_serve] daemon on top of {!Transport}: decode, admission,
+    worker threads, execution on a [Tlp_engine.Pool] domain pool, and
+    reply rendering (see DESIGN.md §7 for the dataflow).
 
-    Threading model (see DESIGN.md §7 for the dataflow):
-
-    - one {e accept} thread multiplexes the listener with a short
-      [select] tick so a stop request is noticed promptly;
-    - one lightweight {e connection} thread per client reads
-      newline-delimited frames, answers the control-plane methods
-      ([health], [stats]) and all protocol errors inline, and pushes
-      solver work onto the admission queue — a full queue is answered
-      immediately with [overloaded], never queued, never blocked on;
-    - [jobs] {e worker} threads pop admitted jobs, enforce the deadline
-      (a job whose deadline passed while queued is answered [timeout]
-      without being solved), and execute the handler on the shared
-      domain pool;
-    - {!stop} (or SIGTERM/SIGINT wired by the binary) begins the drain:
-      the listener closes, the queue refuses new work, every admitted
-      request is still answered, then workers, connections, and the pool
-      are joined.
-
-    Replies carry the request [id], so pipelined requests on one
-    connection may complete out of order; each response line is written
-    atomically under a per-connection lock. *)
+    - Each frame is handled on its connection's thread: control-plane
+      methods ([health], [stats], [cluster]) and protocol errors are
+      answered inline; solver work is pushed onto the bounded
+      {!Admission} queue, and a full queue is answered [overloaded] at
+      once, never waited on.
+    - [jobs] worker threads pop admitted jobs, answer [timeout] for a
+      job whose deadline passed while queued, and run the rest on the
+      pool.  Replies carry the request [id], so pipelined requests may
+      complete out of order.
+    - {!stop} begins the drain: the listener closes, the queue refuses
+      new work, every admitted request is still answered, then
+      workers, connections and the pool are joined. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -33,7 +24,6 @@ type config = {
   default_timeout_ms : int option;
       (** per-request deadline when the frame carries none; [None] = no
           deadline *)
-  max_frame_bytes : int;  (** reject longer unterminated frames *)
   seed : int;  (** roots the per-request RNG streams *)
   enable_debug : bool;  (** expose the [sleep] test method *)
   session_ttl_s : float;
@@ -43,15 +33,14 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7171], 4 jobs, queue 64, cache 256, 30s default timeout,
-    4 MiB frames, seed 0, debug off, 600s session TTL. *)
+    seed 0, debug off, 600s session TTL. *)
 
 type t
 
 val start : config -> t
 (** Bind, listen, spawn the accept/worker threads, and return.  Raises
-    [Unix.Unix_error] if the address cannot be bound.  Also sets SIGPIPE
-    to ignore (a client hanging up mid-response must not kill the
-    daemon). *)
+    [Unix.Unix_error] if the address cannot be bound; ignores SIGPIPE
+    ({!Transport.listen}). *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)

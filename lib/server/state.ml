@@ -173,9 +173,6 @@ let snapshot t ~queue_depth ~uptime_s ~sessions =
                 ("depth", Json.Int queue_depth);
                 ("shed", Json.Int t.shed);
               ] );
-          (* Deprecated duplicate of queue.depth; kept emitted for one
-             release (see PROTOCOL.md §2.5). *)
-          ("queue_depth", Json.Int queue_depth);
           ("sessions", sessions);
           ( "overruns",
             Json.Obj

@@ -31,7 +31,9 @@ type trace_entry = {
   queue_ms : float;  (** waiting in the admission queue *)
   solve_ms : float;  (** handler execution (dispatch to result bytes) *)
   render_ms : float;  (** envelope construction *)
-  write_ms : float;  (** socket write of the response line *)
+  write_ms : float;
+      (** socket write of the response, including the wait for the
+          connection's write lock *)
   total_ms : float;  (** read to write, end to end *)
 }
 (** One traced request's span log — the full

@@ -1,5 +1,5 @@
-(* Extensions beyond the paper's core: Fiduccia–Mattheyses refinement,
-   dual chain formulations, and the timestamped DES engine. *)
+(* Extensions beyond the paper's core: Fiduccia–Mattheyses refinement
+   and dual chain formulations. *)
 
 open Helpers
 module Fm = Tlp_baselines.Fiduccia_mattheyses
@@ -8,8 +8,6 @@ module Dual = Tlp_core.Chain_dual
 module Bandwidth = Tlp_core.Bandwidth
 module Coc = Tlp_baselines.Chain_on_chain
 module Graph = Tlp_graph.Graph
-module Circuit = Tlp_des.Circuit
-module Timed_sim = Tlp_des.Timed_sim
 
 (* ---------- Fiduccia–Mattheyses ---------- *)
 
@@ -128,67 +126,6 @@ let prop_processor_dual_min_weight =
         cut_weight = !best
       end)
 
-(* ---------- Timed DES ---------- *)
-
-let not_chain_circuit () =
-  Circuit.make
-    [|
-      { Circuit.kind = Circuit.Input; fan_in = []; eval_cost = 1 };
-      { Circuit.kind = Circuit.Not; fan_in = [ 0 ]; eval_cost = 1 };
-      { Circuit.kind = Circuit.Not; fan_in = [ 1 ]; eval_cost = 1 };
-      { Circuit.kind = Circuit.Not; fan_in = [ 2 ]; eval_cost = 1 };
-    |]
-
-let test_timed_inverter_chain () =
-  let c = not_chain_circuit () in
-  let config = { Timed_sim.delays = [| 1; 2; 2; 2 |]; horizon = 100; input_period = 50 } in
-  let r = Timed_sim.simulate (Rng.create 3) c ~assignment:[| 0; 0; 1; 1 |] config in
-  (* At most one input flip (t=50); if it flips, the change ripples
-     through all three inverters: 3 evaluations, 3 changes, and the
-     message 1->2 crosses the partition. *)
-  check_bool "bounded evals" true (r.Timed_sim.evaluations <= 3);
-  check_bool "changes = evals for inverters" true
-    (r.Timed_sim.output_changes = r.Timed_sim.evaluations);
-  if r.Timed_sim.evaluations = 3 then begin
-    check_int "messages" 3 r.Timed_sim.messages;
-    check_int "cross" 1 r.Timed_sim.cross_messages;
-    (* flip at 50, evals at 52, 54, 56 *)
-    check_int "final time" 56 r.Timed_sim.final_time
-  end
-
-let test_timed_deterministic () =
-  let rng = Rng.create 11 in
-  let c = Circuit.random rng ~inputs:6 ~gates:60 () in
-  let config = Timed_sim.default_config c in
-  let assignment = Array.init (Circuit.n c) (fun i -> i mod 3) in
-  let r1 = Timed_sim.simulate (Rng.create 4) c ~assignment config in
-  let r2 = Timed_sim.simulate (Rng.create 4) c ~assignment config in
-  check_int "same evals" r1.Timed_sim.evaluations r2.Timed_sim.evaluations;
-  check_int "same cross" r1.Timed_sim.cross_messages r2.Timed_sim.cross_messages
-
-let prop_timed_invariants =
-  let gen =
-    let open QCheck2.Gen in
-    let* seed = int_range 0 100000 in
-    let* inputs = int_range 2 6 in
-    let* gates = int_range 5 50 in
-    let* blocks = int_range 1 4 in
-    return (seed, inputs, gates, blocks)
-  in
-  qcheck ~count:100 "timed DES invariants" gen
-    (fun (seed, inputs, gates, blocks) ->
-      let rng = Rng.create seed in
-      let c = Circuit.random rng ~inputs ~gates () in
-      let config = Timed_sim.default_config c in
-      let n = Circuit.n c in
-      let assignment = Array.init n (fun i -> i * blocks / n) in
-      let r = Timed_sim.simulate rng c ~assignment config in
-      r.Timed_sim.cross_messages <= r.Timed_sim.messages
-      && r.Timed_sim.output_changes <= r.Timed_sim.evaluations
-      && r.Timed_sim.final_time < config.Timed_sim.horizon
-             + Array.fold_left Stdlib.max 0 config.Timed_sim.delays
-      && (blocks > 1 || r.Timed_sim.cross_messages = 0))
-
 let suite =
   [
     prop_fm_cut_priced;
@@ -198,7 +135,4 @@ let suite =
     prop_budget_dual_sound;
     prop_processor_dual_matches_minmax;
     prop_processor_dual_min_weight;
-    Alcotest.test_case "inverter chain timing" `Quick test_timed_inverter_chain;
-    Alcotest.test_case "timed DES deterministic" `Quick test_timed_deterministic;
-    prop_timed_invariants;
   ]

@@ -631,11 +631,12 @@ let test_loopback_stats_shape () =
                   "errors";
                   "cache";
                   "queue";
-                  "queue_depth";
                   "overruns";
                   "slow_ring";
                   "metrics";
-                ]
+                ];
+              check_bool "deprecated queue_depth gone" false
+                (List.mem_assoc "queue_depth" result)
           | _ -> Alcotest.fail "stats result not an object")
       | _ -> Alcotest.fail "stats response unparseable")
 
@@ -895,9 +896,12 @@ let test_loopback_slow_ring () =
       | Ok (Json.Obj fields) -> (
           match List.assoc_opt "result" fields with
           | Some (Json.Obj result) -> (
-              check_bool "queue_depth is an integer" true
-                (match List.assoc_opt "queue_depth" result with
-                | Some (Json.Int d) -> d >= 0
+              check_bool "queue.depth is an integer" true
+                (match List.assoc_opt "queue" result with
+                | Some (Json.Obj queue) -> (
+                    match List.assoc_opt "depth" queue with
+                    | Some (Json.Int d) -> d >= 0
+                    | _ -> false)
                 | _ -> false);
               match List.assoc_opt "slow_ring" result with
               | Some (Json.List (Json.Obj entry :: _)) ->

@@ -4,7 +4,7 @@
    session == from-scratch solve on the materialized instance), the
    server's open/update/resolve RPCs over both framings, the cache
    re-keying contract (a mutated instance can never replay a stale
-   entry), and the deterministic DES drift-replay scenario. *)
+   entry). *)
 
 open Helpers
 module Json = Tlp_util.Json_out
@@ -21,7 +21,6 @@ module Handler = Tlp_server.Handler
 module State = Tlp_server.State
 module Server = Tlp_server.Server
 module Client = Tlp_client.Client
-module Drift_replay = Tlp_des.Drift_replay
 
 let chain5 = Chain.make ~alpha:[| 4; 2; 7; 3; 5 |] ~beta:[| 6; 2; 9; 4 |]
 
@@ -588,43 +587,6 @@ let test_loopback_concurrent_updates () =
         (contains stats (Printf.sprintf {|"version":%d|} total)
         && contains stats (Printf.sprintf {|"updates":%d|} total)))
 
-(* ---------- DES drift replay ---------- *)
-
-let test_drift_replay_deterministic () =
-  let config = { Drift_replay.default_config with rounds = 20; n = 64 } in
-  let a = Drift_replay.run (Rng.create 11) config in
-  let b = Drift_replay.run (Rng.create 11) config in
-  Alcotest.(check string)
-    "same seed replays the same trace" a.Drift_replay.trace_digest
-    b.Drift_replay.trace_digest;
-  let c = Drift_replay.run (Rng.create 12) config in
-  check_bool "different seed diverges" true
-    (a.Drift_replay.trace_digest <> c.Drift_replay.trace_digest);
-  check_int "every round recorded" 20 (List.length a.Drift_replay.rounds);
-  check_int "every resolve tallied" 20
-    (a.Drift_replay.resolves_incremental + a.Drift_replay.resolves_full);
-  (* Round 1 migrates everything off the implicit initial placement. *)
-  check_bool "initial placement churn" true (a.Drift_replay.total_migrated >= 64)
-
-let test_drift_replay_churn_accounting () =
-  let report =
-    Drift_replay.run (Rng.create 3)
-      { Drift_replay.default_config with rounds = 12; n = 48; batch = 2 }
-  in
-  List.iter
-    (fun r ->
-      check_bool "migrated bounded by n" true
-        (r.Drift_replay.migrated >= 0 && r.Drift_replay.migrated <= 48);
-      check_bool "weighted churn needs churn" true
-        (r.Drift_replay.migrated > 0 || r.Drift_replay.migrated_weight = 0);
-      check_bool "deltas within batch bound" true
-        (r.Drift_replay.deltas >= 1 && r.Drift_replay.deltas <= 2))
-    report.Drift_replay.rounds;
-  check_bool "max is max" true
-    (List.for_all
-       (fun r -> r.Drift_replay.migrated <= report.Drift_replay.max_migrated)
-       report.Drift_replay.rounds)
-
 let suite =
   [
     Alcotest.test_case "store: open, find, digest" `Quick test_open_find_digest;
@@ -649,8 +611,4 @@ let suite =
       test_loopback_v2_cache_bytes;
     Alcotest.test_case "loopback: concurrent updates commute" `Quick
       test_loopback_concurrent_updates;
-    Alcotest.test_case "des: drift replay is deterministic" `Quick
-      test_drift_replay_deterministic;
-    Alcotest.test_case "des: drift replay churn accounting" `Quick
-      test_drift_replay_churn_accounting;
   ]
