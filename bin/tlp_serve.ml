@@ -167,16 +167,19 @@ let call host port requests expect_ok proto =
         exit 1
     | Ok frame -> (
         let buf = Tlp_util.Bytebuf.create 256 in
-        Tlp_server.Frame.encode_request buf frame;
+        (try Tlp_server.Frame.encode_request buf frame
+         with Invalid_argument msg ->
+           Printf.eprintf "error: unencodable request: %s\n" msg;
+           exit 1);
         match Client.round_trip_frame client (Tlp_util.Bytebuf.contents buf) with
         | Error e -> transport_fail e
         | Ok payload -> (
             Printf.eprintf "frame %s\n" (Digest.to_hex (Digest.string payload));
-            match Tlp_client.Frame.decode_response payload with
+            match Tlp_server.Frame.decode_response payload with
             | Error msg ->
                 incr failures;
                 Printf.eprintf "error: undecodable v2 response: %s\n" msg
-            | Ok (Tlp_client.Frame.Result { id; result; trace }) ->
+            | Ok (Tlp_server.Frame.Result { id; result; trace }) ->
                 let result = Json.to_string result in
                 let line =
                   match trace with
@@ -185,15 +188,8 @@ let call host port requests expect_ok proto =
                 in
                 print_endline line;
                 check_line line
-            | Ok (Tlp_client.Frame.Rpc_err { id; code; message }) ->
-                let err =
-                  match code with
-                  | "overloaded" -> Protocol.overloaded message
-                  | "timeout" -> Protocol.timeout message
-                  | "internal" -> Protocol.internal message
-                  | _ -> Protocol.bad_request message
-                in
-                let line = Protocol.render_error ~id err in
+            | Ok (Tlp_server.Frame.Rpc_err { id; code; message }) ->
+                let line = Protocol.render_error ~id { code; message } in
                 print_endline line;
                 check_line line))
   in

@@ -1,8 +1,10 @@
 module Json = Tlp_util.Json_out
 module Rng = Tlp_util.Rng
 module Timer = Tlp_util.Timer
+module Protocol = Tlp_server.Protocol
+module Sframe = Tlp_server.Frame
 
-let schema = "tlp.rpc/v1"
+let schema = Protocol.schema
 
 type proto = V1 | V2
 
@@ -36,20 +38,9 @@ type response = {
 (* Internal control flow for socket failures; never escapes this module. *)
 exception Fail of error
 
-let request_line ?id ?timeout_ms ?priority ?(trace = false) ~meth ?params () =
-  let fields =
-    (match id with Some id -> [ ("id", id) ] | None -> [])
-    @ [ ("method", Json.String meth) ]
-    @ (match timeout_ms with
-      | Some ms -> [ ("timeout_ms", Json.Int ms) ]
-      | None -> [])
-    @ (match priority with
-      | Some p -> [ ("priority", Json.String p) ]
-      | None -> [])
-    @ (if trace then [ ("trace", Json.Bool true) ] else [])
-    @ match params with Some p -> [ ("params", p) ] | None -> []
-  in
-  Json.to_string (Json.Obj fields)
+let request_line ?id ?timeout_ms ?priority ?trace ~meth ?params () =
+  Json.to_string
+    (Frame.request_json ?id ?timeout_ms ?priority ?trace ~meth ?params ())
 
 let classify_response raw =
   let bad fmt = Printf.ksprintf (fun m -> Error (Bad_response m)) fmt in
@@ -278,14 +269,15 @@ let round_trip_frame t ?deadline_ms frame =
   attempt t ~deadline:(deadline_of t deadline_ms) (Bytes.of_string frame)
 
 let classify_payload raw =
-  match Frame.decode_response raw with
+  match Sframe.decode_response raw with
   | Error msg -> Error (Bad_response msg)
-  | Ok (Frame.Result { id; result; trace }) -> Ok { id; result; trace; raw }
-  | Ok (Frame.Rpc_err { code = "overloaded"; message; _ }) ->
+  | Ok (Sframe.Result { id; result; trace }) -> Ok { id; result; trace; raw }
+  | Ok (Sframe.Rpc_err { code = Protocol.Overloaded; message; _ }) ->
       Error (Overloaded message)
-  | Ok (Frame.Rpc_err { code = "timeout"; message; _ }) ->
+  | Ok (Sframe.Rpc_err { code = Protocol.Timeout; message; _ }) ->
       Error (Timeout message)
-  | Ok (Frame.Rpc_err { code; message; _ }) -> Error (Rpc_error { code; message })
+  | Ok (Sframe.Rpc_err { code; message; _ }) ->
+      Error (Rpc_error { code = Protocol.error_code_string code; message })
 
 let retry_loop t ~deadline ~classify payload =
   match

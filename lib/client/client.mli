@@ -79,10 +79,12 @@ val request_line :
   ?params:Tlp_util.Json_out.t ->
   unit ->
   string
-(** Render one request frame (no trailing newline).  Field order is
-    fixed ([id], [method], [timeout_ms], [priority], [trace], [params];
-    absent options are omitted), so the same arguments always produce
-    the same bytes — the load generator's replay digests rely on this.
+(** Render one request frame (no trailing newline): the JSON text of
+    {!Frame.request_json}, the same object the [V2] encoder validates
+    and encodes.  Field order is fixed ([id], [method], [timeout_ms],
+    [priority], [trace], [params]; absent options are omitted), so the
+    same arguments always produce the same bytes — the load
+    generator's replay digests rely on this.
     [priority] is the admission class ("interactive" | "batch"); omit
     it for the server default (interactive). *)
 
@@ -168,6 +170,6 @@ val call :
     call site is protocol-independent.  [timeout_ms] is the
     {e server-side} queue deadline carried in the frame; [priority]
     the server-side admission class; [deadline_ms] is the
-    {e client-side} end-to-end bound.  A request the binary layout
-    cannot express returns [Rpc_error] with code [bad_request] without
-    touching the wire. *)
+    {e client-side} end-to-end bound.  A [V2] request that the v1
+    parser would refuse returns [Rpc_error] with code [bad_request]
+    and the v1 server's message, without touching the wire. *)

@@ -1,11 +1,10 @@
-(** Client-side codec for the [tlp.rpc/v2] binary framing.
+(** Client side of the [tlp.rpc/v2] framing.
 
-    The independent counterpart of the server's codec: requests are
-    encoded from the same field values {!Client.request_line} renders
-    as JSON — same defaults as the v1 parser — so switching protocol
-    never changes a call site, and the differential tests can check the
-    client's bytes against the server's own encoder. PROTOCOL.md §7
-    has the wire layout. *)
+    There is one v2 codec, [Tlp_server.Frame]. This module builds its
+    input from the same arguments {!Client.request_line} takes, so
+    switching protocol never changes a call site. Responses are decoded
+    with [Tlp_server.Frame.decode_response]. PROTOCOL.md §7 has the
+    wire layout. *)
 
 val schema : string
 (** ["tlp.rpc/v2"]. *)
@@ -13,6 +12,17 @@ val schema : string
 val hello : string
 (** The 5-byte connection preamble, ["\xf2TLP2"]: the client's first
     bytes, echoed verbatim by the server before the first frame. *)
+
+val request_json :
+  ?id:Tlp_util.Json_out.t ->
+  ?timeout_ms:int ->
+  ?priority:string ->
+  ?trace:bool ->
+  meth:string ->
+  ?params:Tlp_util.Json_out.t ->
+  unit ->
+  Tlp_util.Json_out.t
+(** The request object: {!Client.request_line} is its rendering. *)
 
 val encode_request :
   ?id:Tlp_util.Json_out.t ->
@@ -24,28 +34,10 @@ val encode_request :
   unit ->
   (string, string) result
 (** Encode one length-prefixed request frame from the same arguments
-    as {!Client.request_line}. Instances must be inline objects
-    ([{"kind":"chain",...}] / [{"kind":"tree",...}]); the text format
-    needs the server-side parser. [Error] describes a request the
-    binary layout cannot express (unknown method, negative sizes,
-    mismatched array lengths) — nothing was sent. *)
-
-(** One decoded response payload. [Rpc_err] carries the wire error
-    codes verbatim ([bad_request] | [overloaded] | [timeout] |
-    [internal]). *)
-type payload =
-  | Result of {
-      id : Tlp_util.Json_out.t;
-      result : Tlp_util.Json_out.t;
-      trace : Tlp_util.Json_out.t option;
-    }
-  | Rpc_err of {
-      id : Tlp_util.Json_out.t;
-      code : string;
-      message : string;
-    }
-
-val decode_response : string -> (payload, string) result
-(** Decode one response payload (the bytes {e after} the 4-byte length
-    prefix). Bounds-checked throughout: truncated or corrupt payloads
-    are [Error], never an exception. *)
+    as {!Client.request_line}: {!request_json}, validated by
+    [Tlp_server.Protocol.frame_of_json], encoded by
+    [Tlp_server.Frame.encode_request]. Instances may be inline objects
+    or instance-file text, as in v1. [Error] carries the message a v1
+    server would answer for the same request, or names a value the
+    binary layout cannot carry (a negative [update] index); nothing
+    was sent. *)

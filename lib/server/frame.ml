@@ -8,12 +8,13 @@
    signed fields); result values are {!Tlp_util.Binval} encodings.
    The full wire layout is PROTOCOL.md §7.
 
-   Decoding mirrors [Protocol.parse_frame]'s validation byte for byte
-   on every rule both framings can express — same bounds, same error
-   messages — so the v1/v2 differential suite can compare decoded
-   errors, not just successes. Malformed input yields a structured
-   [bad_request] (with the request id recovered whenever it was
-   readable), never an exception. *)
+   This is the only v2 codec: the client encodes requests through
+   [encode_request] and decodes responses with [decode_response].
+   Decoding builds requests through [Protocol]'s validated
+   constructors, the same ones the v1 parser uses, so every rule both
+   framings can express is one check with one error message.
+   Malformed input yields a structured [bad_request] (with the request
+   id recovered whenever it was readable), never an exception. *)
 
 module Json = Tlp_util.Json_out
 module Bytebuf = Tlp_util.Bytebuf
@@ -27,10 +28,7 @@ let schema = "tlp.rpc/v2"
 let hello = "\xf2TLP2"
 let hello_byte = '\xf2'
 
-exception Reject of Protocol.error
-
-let reject fmt =
-  Printf.ksprintf (fun m -> raise (Reject (Protocol.bad_request m))) fmt
+let reject = Protocol.reject
 
 (* ---------- shared field codecs ---------- *)
 
@@ -114,6 +112,14 @@ let partition_algorithm_tag = function
   | Protocol.Bottleneck -> 2
   | Protocol.Procmin -> 3
   | Protocol.Pipeline -> 4
+
+let read_partition_algorithm r =
+  match R.u8 r with
+  | 1 -> Protocol.Bandwidth
+  | 2 -> Protocol.Bottleneck
+  | 3 -> Protocol.Procmin
+  | 4 -> Protocol.Pipeline
+  | tag -> reject "bad partition algorithm tag %d" tag
 
 let sweep_algorithm_tag = function
   | Tlp_engine.Ksweep.Hitting -> 1
@@ -206,24 +212,13 @@ let encode_request buf (frame : Protocol.frame) =
       Bytebuf.add_string buf session);
   finish_frame buf p
 
-let positive name i =
-  if i <= 0 then reject "field %S must be positive, got %d" name i;
-  i
-
 let read_request_body r meth_tag =
   match meth_tag with
   | 1 ->
-      let algorithm =
-        match R.u8 r with
-        | 1 -> Protocol.Bandwidth
-        | 2 -> Protocol.Bottleneck
-        | 3 -> Protocol.Procmin
-        | 4 -> Protocol.Pipeline
-        | tag -> reject "bad partition algorithm tag %d" tag
-      in
-      let k = positive "k" (R.varint r) in
+      let algorithm = read_partition_algorithm r in
+      let k = R.varint r in
       let instance = read_instance r in
-      Protocol.Partition { instance; k; algorithm }
+      Protocol.partition ~instance ~k ~algorithm
   | 2 ->
       let algorithm =
         match R.u8 r with
@@ -232,30 +227,16 @@ let read_request_body r meth_tag =
         | tag -> reject "bad sweep algorithm tag %d" tag
       in
       let count = R.varint r in
-      if count = 0 then reject "field \"k_values\" must be non-empty";
-      let ks =
-        Array.to_list (read_varint_array r "k_values" count)
-        |> List.map (positive "k_values")
-      in
-      let chain =
-        match read_instance r with
-        | Io.Chain_instance c -> c
-        | Io.Tree_instance _ -> reject "method requires a chain instance"
-      in
-      Protocol.Sweep { chain; ks; algorithm }
+      let ks = Array.to_list (read_varint_array r "k_values" count) in
+      let instance = read_instance r in
+      Protocol.sweep ~instance ~ks ~algorithm
   | 3 ->
       let rounds = R.varint r in
-      if rounds < 1 || rounds > Protocol.max_verify_rounds then
-        reject "field \"rounds\" must be in [1, %d]" Protocol.max_verify_rounds;
       let seed = R.zigzag r in
-      Protocol.Verify { rounds; seed }
+      Protocol.verify ~rounds ~seed
   | 4 -> Protocol.Stats
   | 5 -> Protocol.Health
-  | 6 ->
-      let ms = R.varint r in
-      if ms > Protocol.max_sleep_ms then
-        reject "field \"ms\" must be in [0, %d]" Protocol.max_sleep_ms;
-      Protocol.Sleep { ms }
+  | 6 -> Protocol.sleep ~ms:(R.varint r)
   | 7 -> Protocol.Cluster
   | 8 ->
       let session =
@@ -269,7 +250,6 @@ let read_request_body r meth_tag =
   | 9 ->
       let session = R.bytes r (R.varint r) in
       let count = R.varint r in
-      if count = 0 then reject "field \"deltas\" must be non-empty";
       checked_count r "deltas" count;
       let deltas = ref [] in
       for _ = 1 to count do
@@ -283,19 +263,12 @@ let read_request_body r meth_tag =
            else Tlp_core.Incremental.Edge (index, delta))
           :: !deltas
       done;
-      Protocol.Update { session; deltas = List.rev !deltas }
+      Protocol.update ~session ~deltas:(List.rev !deltas)
   | 10 ->
-      let algorithm =
-        match R.u8 r with
-        | 1 -> Protocol.Bandwidth
-        | 2 -> Protocol.Bottleneck
-        | 3 -> Protocol.Procmin
-        | 4 -> Protocol.Pipeline
-        | tag -> reject "bad partition algorithm tag %d" tag
-      in
-      let k = positive "k" (R.varint r) in
+      let algorithm = read_partition_algorithm r in
+      let k = R.varint r in
       let session = R.bytes r (R.varint r) in
-      Protocol.Resolve { session; k; algorithm }
+      Protocol.resolve ~session ~k ~algorithm
   | tag ->
       reject
         "unknown method tag %d (1=partition | 2=sweep | 3=verify | 4=stats | \
@@ -323,7 +296,7 @@ let decode_request buf ~pos ~len =
     { Protocol.id = !id; request; timeout_ms; priority; trace }
   with
   | frame -> Ok frame
-  | exception Reject err -> Error (!id, err)
+  | exception Protocol.Reject err -> Error (!id, err)
   | exception R.Short ->
       Error (!id, Protocol.bad_request "malformed v2 frame: truncated or corrupt")
 
@@ -339,6 +312,14 @@ let error_code_tag = function
   | Protocol.Timeout -> 3
   | Protocol.Internal -> 4
   | Protocol.Unavailable -> 5
+
+let error_code_of_tag = function
+  | 1 -> Protocol.Bad_request
+  | 2 -> Protocol.Overloaded
+  | 3 -> Protocol.Timeout
+  | 4 -> Protocol.Internal
+  | 5 -> Protocol.Unavailable
+  | tag -> reject "bad error code tag %d" tag
 
 let[@tlp.hot] encode_ok buf ~id ~result ~trace =
   let p = start_frame buf in
@@ -366,3 +347,37 @@ let[@tlp.hot] encode_error buf ~id (err : Protocol.error) =
   Bytebuf.add_varint buf (String.length err.Protocol.message);
   Bytebuf.add_string buf err.Protocol.message;
   finish_frame buf p
+
+type payload =
+  | Result of { id : Json.t; result : Json.t; trace : Json.t option }
+  | Rpc_err of { id : Json.t; code : Protocol.error_code; message : string }
+
+let decode_response body =
+  let r =
+    R.make (Bytes.unsafe_of_string body) ~pos:0 ~limit:(String.length body)
+  in
+  let value what =
+    match Binval.read r with
+    | Ok v -> v
+    | Error msg -> reject "bad %s value: %s" what msg
+  in
+  match
+    let status = R.u8 r in
+    let id = read_id r in
+    let payload =
+      if status = status_error then
+        let code = error_code_of_tag (R.u8 r) in
+        Rpc_err { id; code; message = R.bytes r (R.varint r) }
+      else if status = status_ok then
+        Result { id; result = value "result"; trace = None }
+      else if status = status_ok_traced then
+        let result = value "result" in
+        Result { id; result; trace = Some (value "trace") }
+      else reject "bad status byte %d" status
+    in
+    if R.remaining r <> 0 then reject "trailing bytes after response payload";
+    payload
+  with
+  | payload -> Ok payload
+  | exception Protocol.Reject err -> Error err.Protocol.message
+  | exception R.Short -> Error "truncated response frame"

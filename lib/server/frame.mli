@@ -2,11 +2,12 @@
 
     A v2 connection opens with the 5-byte {!hello}; the server echoes
     it, then both directions carry 4-byte big-endian length-prefixed
-    frames (PROTOCOL.md §7). Request decoding mirrors
-    [Protocol.parse_frame]'s validation — same bounds, same error
-    messages for every rule both framings can express — which is what
-    makes the v1/v2 differential test meaningful. The client-side
-    counterpart is [Tlp_client.Frame]. *)
+    frames (PROTOCOL.md §7). This is the only v2 codec: servers decode
+    requests and encode responses with it, and the client
+    ([Tlp_client.Frame], [Tlp_client.Client]) encodes requests and
+    decodes responses with it. Request decoding validates through
+    [Protocol]'s constructors, the same ones the v1 parser uses, so
+    both framings refuse a request with the same error message. *)
 
 val schema : string
 (** ["tlp.rpc/v2"]. *)
@@ -22,9 +23,11 @@ val hello_byte : char
 (** {1 Requests} *)
 
 val encode_request : Tlp_util.Bytebuf.t -> Protocol.frame -> unit
-(** Append one length-prefixed request frame. Used by the
-    [tlp_serve call --proto v2] bridge and the differential tests;
-    raises [Invalid_argument] on an id that is not null/int/string. *)
+(** Append one length-prefixed request frame. Every v2 request a
+    client sends is encoded here. Raises [Invalid_argument] on a frame
+    the binary layout cannot express: an id that is not
+    null/int/string, or a negative value in an unsigned field (an
+    [update] index). *)
 
 val decode_request :
   Bytes.t ->
@@ -66,3 +69,22 @@ val encode_ok_doc :
 
 val encode_error :
   Tlp_util.Bytebuf.t -> id:Tlp_util.Json_out.t -> Protocol.error -> unit
+
+(** One decoded response payload. *)
+type payload =
+  | Result of {
+      id : Tlp_util.Json_out.t;
+      result : Tlp_util.Json_out.t;
+      trace : Tlp_util.Json_out.t option;
+    }
+  | Rpc_err of {
+      id : Tlp_util.Json_out.t;
+      code : Protocol.error_code;
+      message : string;
+    }
+
+val decode_response : string -> (payload, string) result
+(** Decode one response payload (the bytes {e after} the 4-byte length
+    prefix), the inverse of {!encode_ok}, {!encode_ok_doc} and
+    {!encode_error}. Bounds-checked throughout: truncated or corrupt
+    payloads are [Error], never an exception. *)

@@ -77,13 +77,57 @@ let method_name = function
   | Update _ -> "update"
   | Resolve _ -> "resolve"
 
-(* ---------- parsing ---------- *)
-
-(* Parse failures abort with [Reject] carrying the wire error; the
-   request id (when already recovered) is attached by [parse_frame]. *)
+(* Validation failures abort with [Reject] carrying the wire error; the
+   request id (when already recovered) is attached by the decoder. *)
 exception Reject of error
 
 let reject fmt = Printf.ksprintf (fun m -> raise (Reject (bad_request m))) fmt
+
+(* ---------- validated requests ---------- *)
+
+(* The request rules both framings can express, each written once:
+   the v1 parser below and the v2 decoder ([Frame.decode_request])
+   build every constrained request through these constructors, so the
+   two framings refuse a request with the same message. *)
+
+let positive name i =
+  if i <= 0 then reject "field %S must be positive, got %d" name i;
+  i
+
+let max_verify_rounds = 10_000
+let max_sleep_ms = 60_000
+
+let partition ~instance ~k ~algorithm =
+  Partition { instance; k = positive "k" k; algorithm }
+
+let sweep ~instance ~ks ~algorithm =
+  let chain =
+    match instance with
+    | Io.Chain_instance c -> c
+    | Io.Tree_instance _ -> reject "method requires a chain instance"
+  in
+  let ks = List.map (positive "k_values") ks in
+  if ks = [] then reject "field \"k_values\" must be non-empty";
+  Sweep { chain; ks; algorithm }
+
+let verify ~rounds ~seed =
+  if rounds < 1 || rounds > max_verify_rounds then
+    reject "field \"rounds\" must be in [1, %d]" max_verify_rounds;
+  Verify { rounds; seed }
+
+let sleep ~ms =
+  if ms < 0 || ms > max_sleep_ms then
+    reject "field \"ms\" must be in [0, %d]" max_sleep_ms;
+  Sleep { ms }
+
+let update ~session ~deltas =
+  if deltas = [] then reject "field \"deltas\" must be non-empty";
+  Update { session; deltas }
+
+let resolve ~session ~k ~algorithm =
+  Resolve { session; k = positive "k" k; algorithm }
+
+(* ---------- parsing ---------- *)
 
 let obj_fields = function
   | Json.Obj fields -> fields
@@ -107,10 +151,6 @@ let as_string name = function
 let as_int_list name = function
   | Json.List items -> List.map (as_int name) items
   | _ -> reject "field %S must be an array of integers" name
-
-let positive name i =
-  if i <= 0 then reject "field %S must be positive, got %d" name i;
-  i
 
 let non_negative name i =
   if i < 0 then reject "field %S must be non-negative, got %d" name i;
@@ -162,14 +202,6 @@ let parse_instance = function
       | other -> reject "unknown instance kind %S (chain | tree)" other)
   | _ -> reject "field \"instance\" must be a string or an object"
 
-let parse_chain fields =
-  match parse_instance (require "instance" fields) with
-  | Io.Chain_instance c -> c
-  | Io.Tree_instance _ -> reject "method requires a chain instance"
-
-let max_verify_rounds = 10_000
-let max_sleep_ms = 60_000
-
 let parse_partition_algorithm params =
   match Option.map (as_string "algorithm") (field "algorithm" params) with
   | None | Some "bandwidth" -> Bandwidth
@@ -187,68 +219,47 @@ let parse_partition_algorithm params =
 let parse_deltas params =
   match require "deltas" params with
   | Json.List items ->
-      let deltas =
-        List.map
-          (function
-            | Json.List [ Json.String "vertex"; Json.Int i; Json.Int d ] ->
-                Tlp_core.Incremental.Vertex (i, d)
-            | Json.List [ Json.String "edge"; Json.Int j; Json.Int d ] ->
-                Tlp_core.Incremental.Edge (j, d)
-            | _ ->
-                reject
-                  "field \"deltas\" must be an array of [\"vertex\" | \
-                   \"edge\", index, delta] triples")
-          items
-      in
-      if deltas = [] then reject "field \"deltas\" must be non-empty";
-      deltas
+      List.map
+        (function
+          | Json.List [ Json.String "vertex"; Json.Int i; Json.Int d ] ->
+              Tlp_core.Incremental.Vertex (i, d)
+          | Json.List [ Json.String "edge"; Json.Int j; Json.Int d ] ->
+              Tlp_core.Incremental.Edge (j, d)
+          | _ ->
+              reject
+                "field \"deltas\" must be an array of [\"vertex\" | \
+                 \"edge\", index, delta] triples")
+        items
   | _ -> reject "field \"deltas\" must be an array"
 
 let parse_request meth params =
   match meth with
   | "partition" ->
       let instance = parse_instance (require "instance" params) in
-      let k = positive "k" (as_int "k" (require "k" params)) in
-      let algorithm = parse_partition_algorithm params in
-      Partition { instance; k; algorithm }
+      let k = as_int "k" (require "k" params) in
+      partition ~instance ~k ~algorithm:(parse_partition_algorithm params)
   | "sweep" ->
-      let chain = parse_chain params in
-      let ks =
-        List.map
-          (positive "k_values")
-          (as_int_list "k_values" (require "k_values" params))
-      in
-      if ks = [] then reject "field \"k_values\" must be non-empty";
+      let instance = parse_instance (require "instance" params) in
+      let ks = as_int_list "k_values" (require "k_values" params) in
       let algorithm =
         match Option.map (as_string "algorithm") (field "algorithm" params) with
         | None | Some "hitting" -> Tlp_engine.Ksweep.Hitting
         | Some "deque" -> Tlp_engine.Ksweep.Deque
         | Some other -> reject "unknown algorithm %S (deque | hitting)" other
       in
-      Sweep { chain; ks; algorithm }
+      sweep ~instance ~ks ~algorithm
   | "verify" ->
       let rounds =
-        match Option.map (as_int "rounds") (field "rounds" params) with
-        | None -> 100
-        | Some r ->
-            if r < 1 || r > max_verify_rounds then
-              reject "field \"rounds\" must be in [1, %d]" max_verify_rounds;
-            r
+        Option.fold ~none:100 ~some:(as_int "rounds") (field "rounds" params)
       in
       let seed =
-        match Option.map (as_int "seed") (field "seed" params) with
-        | None -> 1
-        | Some s -> s
+        Option.fold ~none:1 ~some:(as_int "seed") (field "seed" params)
       in
-      Verify { rounds; seed }
+      verify ~rounds ~seed
   | "stats" -> Stats
   | "health" -> Health
   | "cluster" -> Cluster
-  | "sleep" ->
-      let ms = as_int "ms" (require "ms" params) in
-      if ms < 0 || ms > max_sleep_ms then
-        reject "field \"ms\" must be in [0, %d]" max_sleep_ms;
-      Sleep { ms }
+  | "sleep" -> sleep ~ms:(as_int "ms" (require "ms" params))
   | "open" ->
       let instance = parse_instance (require "instance" params) in
       let session =
@@ -257,68 +268,70 @@ let parse_request meth params =
       Open { instance; session }
   | "update" ->
       let session = as_string "session" (require "session" params) in
-      Update { session; deltas = parse_deltas params }
+      update ~session ~deltas:(parse_deltas params)
   | "resolve" ->
       let session = as_string "session" (require "session" params) in
-      let k = positive "k" (as_int "k" (require "k" params)) in
-      Resolve { session; k; algorithm = parse_partition_algorithm params }
+      let k = as_int "k" (require "k" params) in
+      resolve ~session ~k ~algorithm:(parse_partition_algorithm params)
   | other ->
       reject
         "unknown method %S (partition | sweep | verify | stats | health | \
          open | update | resolve)"
         other
 
+let frame_of_json doc =
+  (* Recover the id first so even rejected frames get correlated
+     error responses. *)
+  let id =
+    match doc with
+    | Json.Obj fields -> (
+        match field "id" fields with
+        | Some ((Json.String _ | Json.Int _ | Json.Null) as id) -> id
+        | Some _ | None -> Json.Null)
+    | _ -> Json.Null
+  in
+  match
+    let fields = obj_fields doc in
+    (match field "id" fields with
+    | None | Some (Json.String _ | Json.Int _ | Json.Null) -> ()
+    | Some _ -> reject "field \"id\" must be a string, integer or null");
+    let meth = as_string "method" (require "method" fields) in
+    let params =
+      match field "params" fields with
+      | None -> []
+      | Some (Json.Obj params) -> params
+      | Some _ -> reject "field \"params\" must be an object"
+    in
+    let timeout_ms =
+      (* 0 is legal: a client whose remaining budget rounds down to
+         0 ms gets a structured [timeout], not a parse error. *)
+      match field "timeout_ms" fields with
+      | None -> None
+      | Some v -> Some (non_negative "timeout_ms" (as_int "timeout_ms" v))
+    in
+    let priority =
+      match field "priority" fields with
+      | None -> Interactive
+      | Some (Json.String "interactive") -> Interactive
+      | Some (Json.String "batch") -> Batch
+      | Some _ ->
+          reject "field \"priority\" must be \"interactive\" or \"batch\""
+    in
+    let trace =
+      match field "trace" fields with
+      | None -> false
+      | Some (Json.Bool b) -> b
+      | Some _ -> reject "field \"trace\" must be a boolean"
+    in
+    { id; request = parse_request meth params; timeout_ms; priority; trace }
+  with
+  | frame -> Ok frame
+  | exception Reject err -> Error (id, err)
+
 let parse_frame line =
   match Json.parse line with
   | Error msg -> Error (Json.Null, bad_request ("malformed JSON frame: " ^ msg))
-  | Ok doc -> (
-      (* Recover the id first so even rejected frames get correlated
-         error responses. *)
-      let id =
-        match doc with
-        | Json.Obj fields -> (
-            match field "id" fields with
-            | Some ((Json.String _ | Json.Int _ | Json.Null) as id) -> id
-            | Some _ | None -> Json.Null)
-        | _ -> Json.Null
-      in
-      match
-        let fields = obj_fields doc in
-        (match field "id" fields with
-        | None | Some (Json.String _ | Json.Int _ | Json.Null) -> ()
-        | Some _ -> reject "field \"id\" must be a string, integer or null");
-        let meth = as_string "method" (require "method" fields) in
-        let params =
-          match field "params" fields with
-          | None -> []
-          | Some (Json.Obj params) -> params
-          | Some _ -> reject "field \"params\" must be an object"
-        in
-        let timeout_ms =
-          (* 0 is legal: a client whose remaining budget rounds down to
-             0 ms gets a structured [timeout], not a parse error. *)
-          match field "timeout_ms" fields with
-          | None -> None
-          | Some v -> Some (non_negative "timeout_ms" (as_int "timeout_ms" v))
-        in
-        let priority =
-          match field "priority" fields with
-          | None -> Interactive
-          | Some (Json.String "interactive") -> Interactive
-          | Some (Json.String "batch") -> Batch
-          | Some _ ->
-              reject "field \"priority\" must be \"interactive\" or \"batch\""
-        in
-        let trace =
-          match field "trace" fields with
-          | None -> false
-          | Some (Json.Bool b) -> b
-          | Some _ -> reject "field \"trace\" must be a boolean"
-        in
-        { id; request = parse_request meth params; timeout_ms; priority; trace }
-      with
-      | frame -> Ok frame
-      | exception Reject err -> Error (id, err))
+  | Ok doc -> frame_of_json doc
 
 (* ---------- instances ---------- *)
 

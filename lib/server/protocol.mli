@@ -109,18 +109,61 @@ type frame = {
 val method_name : request -> string
 (** The wire method, e.g. ["partition"] — used for stats counters. *)
 
-val max_verify_rounds : int
-(** Upper bound on [verify]'s [rounds] (10000) — shared by the v1
-    parser and the v2 decoder so the two framings reject identically. *)
+(** {1 Validation}
 
-val max_sleep_ms : int
-(** Upper bound on [sleep]'s [ms] (60000); same sharing rationale. *)
+    The request rules both framings can express live here once: the
+    v1 parser and the v2 decoder ([Frame.decode_request]) build every
+    constrained request through these constructors, so a rule and its
+    error message cannot differ between the wires.  Each raises
+    {!exception-Reject} with a [bad_request]. *)
+
+exception Reject of error
+
+val reject : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!exception-Reject} with a [bad_request] carrying the formatted
+    message. *)
+
+val partition :
+  instance:Tlp_graph.Instance_io.instance ->
+  k:int ->
+  algorithm:partition_algorithm ->
+  request
+(** [k] must be positive. *)
+
+val sweep :
+  instance:Tlp_graph.Instance_io.instance ->
+  ks:int list ->
+  algorithm:Tlp_engine.Ksweep.algorithm ->
+  request
+(** The instance must be a chain; [ks] must be non-empty and each
+    positive. *)
+
+val verify : rounds:int -> seed:int -> request
+(** [rounds] must be between 1 and 10000. *)
+
+val sleep : ms:int -> request
+(** [ms] must be between 0 and 60000. *)
+
+val update :
+  session:string -> deltas:Tlp_core.Incremental.delta list -> request
+(** [deltas] must be non-empty; their ranges are checked when the batch
+    is applied to the session. *)
+
+val resolve :
+  session:string -> k:int -> algorithm:partition_algorithm -> request
+(** [k] must be positive. *)
+
+val frame_of_json :
+  Tlp_util.Json_out.t -> (frame, Tlp_util.Json_out.t * error) result
+(** Validate one request object — the v1 frame after its JSON parse.
+    On error, returns the request [id] when it could be recovered
+    ([Null] otherwise) so the error response can still be correlated.
+    The v2 client encoder validates through here too, so it refuses a
+    request with exactly the error a v1 server would send. *)
 
 val parse_frame :
   string -> (frame, Tlp_util.Json_out.t * error) result
-(** Parse one request line.  On error, returns the request [id] when it
-    could be recovered from the malformed frame ([Null] otherwise) so
-    the error response can still be correlated. *)
+(** [Json.parse] then {!frame_of_json}: parse one request line. *)
 
 (** {1 Instances} *)
 

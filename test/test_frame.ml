@@ -1,9 +1,10 @@
 (* The tlp.rpc/v2 binary framing: varint/decimal/Binval codec
-   round trips, client-vs-server request-encoder byte equality, the
-   v1/v2 response differential (every status, every error code),
-   decoder fuzz on truncated and corrupted frames, live loopback
-   negotiation with cache-hit byte equality, and the solver workspace
-   pool. *)
+   round trips, the PROTOCOL.md §7.6 golden frames, request-frame
+   encode/decode round trips, v2-decoder refusals pinned to the v1
+   parser's messages, the v1/v2 response differential (every status,
+   every error code), decoder fuzz on truncated and corrupted frames,
+   live loopback negotiation with cache-hit byte equality, and the
+   solver workspace pool. *)
 
 open Helpers
 module Json = Tlp_util.Json_out
@@ -210,18 +211,123 @@ let test_digest_parity_tree =
       Protocol.instance_digest i
       = Digest.to_hex (Digest.string (Protocol.canonical_instance i)))
 
-(* ---------- request encoding: client vs server ---------- *)
+(* ---------- request encoding ---------- *)
 
-(* The client encoder and the server's own encoder must produce the
-   same bytes for every request both can express: the server side
-   encodes the *parsed* v1 line, so equality proves the two framings
-   describe one request space with one set of defaults. *)
+let hex s =
+  let digits = String.concat "" (String.split_on_char ' ' s) in
+  String.init
+    (String.length digits / 2)
+    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub digits (2 * i) 2)))
+
+let index_sub s sub from =
+  let n = String.length sub in
+  let rec go i = if String.sub s i n = sub then i else go (i + 1) in
+  go from
+
+(* The golden frames are read from PROTOCOL.md §7.6, the one copy the
+   CI smoke test also replays against a live server: the §6.1
+   transcript's id:2 partition, its untraced ok response, the same
+   request with k 0 as id 3 (a frame only a hand-built encoder can
+   send) and its bad_request. [C:]/[S:] start a frame, indented lines
+   continue it, [#] starts a comment. *)
+let protocol_frames () =
+  let doc = In_channel.with_open_bin "../PROTOCOL.md" In_channel.input_all in
+  let start = index_sub doc "```" (index_sub doc "### 7.6" 0) + 3 in
+  let block = String.sub doc start (index_sub doc "```" start - start) in
+  String.split_on_char '\n' block
+  |> List.fold_left
+       (fun frames line ->
+         let line = List.hd (String.split_on_char '#' line) in
+         if String.length line > 2 && (line.[0] = 'C' || line.[0] = 'S')
+            && line.[1] = ':'
+         then String.sub line 2 (String.length line - 2) :: frames
+         else if String.trim line = "" then frames
+         else
+           match frames with
+           | frame :: rest -> (frame ^ line) :: rest
+           | [] -> Alcotest.failf "PROTOCOL.md 7.6: stray line %S" line)
+       []
+  |> List.rev_map hex
+
+let transcript_chain =
+  Json.Obj
+    [
+      ("kind", Json.String "chain");
+      ("alpha", ints [ 12; 7; 9; 14; 6 ]);
+      ("beta", ints [ 40; 3; 25; 8 ]);
+    ]
+
+let v1_frame line =
+  match Protocol.parse_frame line with
+  | Ok f -> f
+  | Error (_, e) -> Alcotest.failf "v1 parse of %s failed: %s" line e.Protocol.message
+
+let decode_frame frame =
+  Sframe.decode_request (Bytes.of_string frame) ~pos:4
+    ~len:(String.length frame - 4)
+
+let encode_payload f =
+  let buf = Bytebuf.create 256 in
+  f buf;
+  Bytebuf.contents buf
+
+let test_golden_frames () =
+  let golden_request, golden_ok, golden_k0_request, golden_k0_error =
+    match protocol_frames () with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | frames ->
+        Alcotest.failf "PROTOCOL.md 7.6 holds %d frames, not 4"
+          (List.length frames)
+  in
+  let params k =
+    partition_params ~algorithm:"bandwidth" ~instance:transcript_chain ~k ()
+  in
+  let line id k =
+    Client.request_line ~id:(Json.Int id) ~meth:"partition" ~params:(params k) ()
+  in
+  (match
+     Cframe.encode_request ~id:(Json.Int 2) ~meth:"partition" ~params:(params 21)
+       ()
+   with
+  | Ok bytes -> Alcotest.(check string) "request bytes" golden_request bytes
+  | Error msg -> Alcotest.failf "transcript request refused: %s" msg);
+  let frame = v1_frame (line 2 21) in
+  check_bool "request decodes to the v1 frame" true
+    (decode_frame golden_request = Ok frame);
+  let doc =
+    match
+      Handler.partition_result
+        (Io.Chain_instance
+           (Chain.make ~alpha:[| 12; 7; 9; 14; 6 |] ~beta:[| 40; 3; 25; 8 |]))
+        ~k:21 ~algorithm:Protocol.Bandwidth
+    with
+    | Ok doc -> doc
+    | Error _ -> Alcotest.fail "transcript partition failed"
+  in
+  Alcotest.(check string) "ok response bytes" golden_ok
+    (encode_payload (fun buf ->
+         Sframe.encode_ok_doc buf ~id:(Json.Int 2) ~doc ~trace:None));
+  let err =
+    match Protocol.parse_frame (line 3 0) with
+    | Error (Json.Int 3, err) -> err
+    | _ -> Alcotest.fail "k 0 must be refused by the v1 parser"
+  in
+  check_bool "k 0 frame refused like v1" true
+    (decode_frame golden_k0_request = Error (Json.Int 3, err));
+  Alcotest.(check string) "bad_request response bytes" golden_k0_error
+    (encode_payload (fun buf -> Sframe.encode_error buf ~id:(Json.Int 3) err));
+  check_bool "client refuses k 0 with the v1 message" true
+    (Cframe.encode_request ~id:(Json.Int 3) ~meth:"partition" ~params:(params 0)
+       ()
+    = Error err.Protocol.message)
+
+(* Every request shape through the client encoder: the server's decoder
+   must give back exactly the frame the v1 parser builds from the same
+   arguments, and re-encoding that frame must reproduce the bytes. *)
 let request_cases =
   [
     ("partition default algorithm", None, None, None, false, "partition",
      Some (partition_params ~instance:chain_obj ~k:9 ()));
-    ("partition bandwidth", Some (Json.Int 1), None, None, false, "partition",
-     Some (partition_params ~algorithm:"bandwidth" ~instance:chain_obj ~k:9 ()));
     ("partition bottleneck traced", Some (Json.Int 2), None, None, true,
      "partition",
      Some (partition_params ~algorithm:"bottleneck" ~instance:chain_obj ~k:9 ()));
@@ -251,57 +357,218 @@ let request_cases =
      Some (Json.Obj [ ("rounds", Json.Int 7); ("seed", Json.Int (-3)) ]));
     ("stats", Some (Json.Int 9), None, None, false, "stats", None);
     ("health", None, None, None, false, "health", None);
-    ("sleep", Some (Json.Int 10), Some 50, None, false, "sleep",
+    ("cluster", Some (Json.Int 10), None, None, false, "cluster", None);
+    ("sleep", Some (Json.Int 11), Some 50, None, false, "sleep",
      Some (Json.Obj [ ("ms", Json.Int 20) ]));
+    ("open named tree", Some (Json.Int 12), None, None, false, "open",
+     Some (Json.Obj [ ("instance", tree_obj); ("session", Json.String "s") ]));
+    ("open unnamed chain", Some (Json.Int 13), None, None, false, "open",
+     Some (Json.Obj [ ("instance", chain_obj) ]));
+    ("update", Some (Json.Int 14), None, None, false, "update",
+     Some
+       (Json.Obj
+          [
+            ("session", Json.String "s");
+            ( "deltas",
+              Json.List
+                [
+                  Json.List [ Json.String "vertex"; Json.Int 0; Json.Int (-3) ];
+                  Json.List [ Json.String "edge"; Json.Int 2; Json.Int 4 ];
+                ] );
+          ]));
+    ("resolve procmin", Some (Json.Int 15), None, None, false, "resolve",
+     Some
+       (Json.Obj
+          [
+            ("session", Json.String "s");
+            ("k", Json.Int 9);
+            ("algorithm", Json.String "procmin");
+          ]));
   ]
 
-let test_request_encoders_agree () =
+let test_request_frames_round_trip () =
   List.iter
     (fun (label, id, timeout_ms, priority, trace, meth, params) ->
-      let client_bytes =
+      let bytes =
         match
           Cframe.encode_request ?id ?timeout_ms ?priority ~trace ~meth ?params
             ()
         with
         | Ok s -> s
-        | Error msg -> Alcotest.failf "%s: client encoder refused: %s" label msg
+        | Error msg -> Alcotest.failf "%s: encoder refused: %s" label msg
       in
-      let line = Client.request_line ?id ?timeout_ms ?priority ~trace ~meth ?params () in
       let frame =
-        match Protocol.parse_frame line with
-        | Ok f -> f
-        | Error (_, e) -> Alcotest.failf "%s: v1 parse failed: %s" label e.Protocol.message
+        v1_frame
+          (Client.request_line ?id ?timeout_ms ?priority ~trace ~meth ?params ())
       in
-      let buf = Bytebuf.create 256 in
-      Sframe.encode_request buf frame;
-      Alcotest.(check string) label (Bytebuf.contents buf) client_bytes)
+      check_bool (label ^ ": decodes to the v1 frame") true
+        (decode_frame bytes = Ok frame);
+      Alcotest.(check string)
+        (label ^ ": re-encodes to the same bytes")
+        bytes
+        (encode_payload (fun buf -> Sframe.encode_request buf frame)))
     request_cases
 
-let test_text_instance_needs_v1 () =
-  match
-    Cframe.encode_request ~meth:"partition"
-      ~params:
-        (Json.Obj
-           [
-             ("instance", Json.String (Io.to_string (Io.Chain_instance chain5)));
-             ("k", Json.Int 9);
-           ])
-      ()
-  with
-  | Ok _ -> Alcotest.fail "text instance must not be encodable"
-  | Error msg -> check_bool "mentions v1" true (String.length msg > 0)
+(* Encoder and decoder are inverses on every frame the validator
+   accepts: random instances, k, algorithm, id and flag bits. *)
+let test_request_frame_property =
+  let open QCheck2.Gen in
+  let instance =
+    oneof
+      [
+        map (fun (c, k) -> (Io.Chain_instance c, k)) small_chain_gen;
+        map (fun (t, k) -> (Io.Tree_instance t, k)) small_tree_gen;
+      ]
+  in
+  let gen =
+    let* instance, k = instance in
+    let* algorithm =
+      oneofl Protocol.[ Bandwidth; Bottleneck; Procmin; Pipeline ]
+    in
+    let* id =
+      oneof
+        [
+          return Json.Null;
+          map (fun i -> Json.Int i) encodable_int;
+          map (fun s -> Json.String s) (small_string ~gen:printable);
+        ]
+    in
+    let* timeout_ms = opt (int_range 0 100_000) in
+    let* batch = bool in
+    let* trace = bool in
+    return
+      {
+        Protocol.id;
+        request = Protocol.partition ~instance ~k ~algorithm;
+        timeout_ms;
+        priority = (if batch then Protocol.Batch else Protocol.Interactive);
+        trace;
+      }
+  in
+  qcheck "request frame encode/decode round trip" gen (fun frame ->
+      decode_frame (encode_payload (fun buf -> Sframe.encode_request buf frame))
+      = Ok frame)
+
+(* Instance-file text is a spelling, not a different request: it
+   encodes to the inline object's bytes. *)
+let test_text_instance_encodes_inline () =
+  let encode instance =
+    match
+      Cframe.encode_request ~id:(Json.Int 1) ~meth:"partition"
+        ~params:(partition_params ~instance ~k:9 ())
+        ()
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "refused: %s" msg
+  in
+  Alcotest.(check string) "chain text = inline" (encode chain_obj)
+    (encode (Json.String (Io.to_string (Io.Chain_instance chain5))));
+  Alcotest.(check string) "tree text = inline" (encode tree_obj)
+    (encode (Json.String "tree\n5 3 2 4\n0 1 7\n0 2 2\n1 3 3\n"))
+
+(* The client encoder refuses these requests before encoding, so the
+   decoder's refusals are pinned with hand-built payloads: each must
+   carry the message the v1 parser gives for the same request. *)
+let add_chain5 buf =
+  Bytebuf.add_u8 buf 1;
+  Bytebuf.add_varint buf 5;
+  List.iter (Bytebuf.add_varint buf) [ 4; 2; 7; 3; 5; 6; 2; 9; 4 ]
+
+let add_tree4 buf =
+  Bytebuf.add_u8 buf 2;
+  Bytebuf.add_varint buf 4;
+  List.iter (Bytebuf.add_varint buf)
+    [ 5; 3; 2; 4; 0; 1; 7; 0; 2; 2; 1; 3; 3 ]
+
+let test_decoder_refusals_match_v1 () =
+  let cases =
+    [
+      ( "k 0", 1,
+        (fun buf ->
+          Bytebuf.add_u8 buf 1;
+          Bytebuf.add_varint buf 0;
+          add_chain5 buf),
+        "partition",
+        partition_params ~instance:chain_obj ~k:0 () );
+      ( "empty k_values", 2,
+        (fun buf ->
+          Bytebuf.add_u8 buf 1;
+          Bytebuf.add_varint buf 0;
+          add_chain5 buf),
+        "sweep",
+        Json.Obj [ ("instance", chain_obj); ("k_values", ints []) ] );
+      ( "rounds 0", 3,
+        (fun buf ->
+          Bytebuf.add_varint buf 0;
+          Bytebuf.add_zigzag buf 1),
+        "verify",
+        Json.Obj [ ("rounds", Json.Int 0) ] );
+      ( "rounds 10001", 3,
+        (fun buf ->
+          Bytebuf.add_varint buf 10_001;
+          Bytebuf.add_zigzag buf 1),
+        "verify",
+        Json.Obj [ ("rounds", Json.Int 10_001) ] );
+      ( "sleep 60001", 6,
+        (fun buf -> Bytebuf.add_varint buf 60_001),
+        "sleep",
+        Json.Obj [ ("ms", Json.Int 60_001) ] );
+      ( "empty deltas", 9,
+        (fun buf ->
+          Bytebuf.add_varint buf 1;
+          Bytebuf.add_string buf "s";
+          Bytebuf.add_varint buf 0),
+        "update",
+        Json.Obj [ ("session", Json.String "s"); ("deltas", Json.List []) ] );
+      ( "tree in a sweep", 2,
+        (fun buf ->
+          Bytebuf.add_u8 buf 1;
+          Bytebuf.add_varint buf 1;
+          Bytebuf.add_varint buf 9;
+          add_tree4 buf),
+        "sweep",
+        Json.Obj [ ("instance", tree_obj); ("k_values", ints [ 9 ]) ] );
+    ]
+  in
+  List.iter
+    (fun (label, meth_tag, body, meth, params) ->
+      let payload =
+        encode_payload (fun buf ->
+            Bytebuf.add_u8 buf meth_tag;
+            Bytebuf.add_u8 buf 1;
+            Bytebuf.add_zigzag buf 1;
+            Bytebuf.add_u8 buf 0;
+            body buf)
+      in
+      let v1 =
+        match
+          Protocol.parse_frame
+            (Client.request_line ~id:(Json.Int 1) ~meth ~params ())
+        with
+        | Error (_, e) -> e
+        | Ok _ -> Alcotest.failf "%s: v1 accepted" label
+      in
+      match
+        Sframe.decode_request (Bytes.of_string payload) ~pos:0
+          ~len:(String.length payload)
+      with
+      | Error (Json.Int 1, e) ->
+          check_bool (label ^ ": bad_request") true
+            (e.Protocol.code = Protocol.Bad_request);
+          Alcotest.(check string) label v1.Protocol.message e.Protocol.message
+      | Error _ -> Alcotest.failf "%s: id not recovered" label
+      | Ok _ -> Alcotest.failf "%s: v2 accepted" label)
+    cases
 
 (* ---------- response differential (unit, deterministic) ---------- *)
 
 let decode_payload payload =
-  match Cframe.decode_response payload with
+  match Sframe.decode_response payload with
   | Ok p -> p
   | Error msg -> Alcotest.failf "response decode failed: %s" msg
 
 let encode_response f =
-  let buf = Bytebuf.create 256 in
-  f buf;
-  let s = Bytebuf.contents buf in
+  let s = encode_payload f in
   String.sub s 4 (String.length s - 4)
 
 let test_error_frames_differential () =
@@ -314,12 +581,11 @@ let test_error_frames_differential () =
         encode_response (fun buf -> Sframe.encode_error buf ~id err)
       in
       (match decode_payload payload with
-      | Cframe.Rpc_err { id = id'; code; message } ->
+      | Sframe.Rpc_err { id = id'; code; message } ->
           check_bool "id echoed" true (id' = id);
-          Alcotest.(check string)
-            "code" (Protocol.error_code_string err.Protocol.code) code;
-          Alcotest.(check string) "message" err.Protocol.message message
-      | Cframe.Result _ -> Alcotest.fail "error frame decoded as result");
+          check_bool "decodes to the encoded error" true
+            ({ Protocol.code; message } = err)
+      | Sframe.Result _ -> Alcotest.fail "error frame decoded as result");
       (* v1: same error through the JSON envelope. *)
       match Client.classify_response (Protocol.render_error ~id err) with
       | Error (Client.Overloaded m) ->
@@ -334,7 +600,7 @@ let test_error_frames_differential () =
           Alcotest.(check string) "v1 message" err.Protocol.message message
       | _ -> Alcotest.fail "v1 error did not classify as an rpc error")
     [ Protocol.bad_request; Protocol.overloaded; Protocol.timeout;
-      Protocol.internal ]
+      Protocol.internal; Protocol.unavailable ]
 
 let test_ok_frames_differential () =
   let doc =
@@ -353,7 +619,7 @@ let test_ok_frames_differential () =
        (encode_response (fun buf ->
             Sframe.encode_ok_doc buf ~id ~doc ~trace:None))
    with
-  | Cframe.Result { id = id'; result; trace = None } ->
+  | Sframe.Result { id = id'; result; trace = None } ->
       check_bool "id echoed" true (id' = id);
       Alcotest.(check string) "result equal" (Json.to_string doc)
         (Json.to_string result)
@@ -375,7 +641,7 @@ let test_ok_frames_differential () =
   in
   Alcotest.(check string) "splice = direct" via_doc via_splice;
   match decode_payload via_doc with
-  | Cframe.Result { result; trace = Some t; _ } ->
+  | Sframe.Result { result; trace = Some t; _ } ->
       Alcotest.(check string) "result equal" (Json.to_string doc)
         (Json.to_string result);
       Alcotest.(check string) "trace equal" (Json.to_string trace)
@@ -432,9 +698,9 @@ let valid_response_payload () =
 let test_response_decoder_truncation () =
   let payload = valid_response_payload () in
   check_bool "full payload decodes" true
-    (match Cframe.decode_response payload with Ok _ -> true | Error _ -> false);
+    (match Sframe.decode_response payload with Ok _ -> true | Error _ -> false);
   for l = 0 to String.length payload - 1 do
-    match Cframe.decode_response (String.sub payload 0 l) with
+    match Sframe.decode_response (String.sub payload 0 l) with
     | Ok _ -> Alcotest.failf "truncated payload of %d bytes decoded" l
     | Error _ -> ()
     | exception ex ->
@@ -447,7 +713,7 @@ let test_response_decoder_corruption =
     (fun (at, byte) ->
       let payload = Bytes.of_string (valid_response_payload ()) in
       Bytes.set payload (at mod Bytes.length payload) (Char.chr byte);
-      match Cframe.decode_response (Bytes.to_string payload) with
+      match Sframe.decode_response (Bytes.to_string payload) with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
@@ -543,6 +809,44 @@ let test_live_differential () =
           both "verify rounds cap" ~meth:"verify"
             ~params:(Json.Obj [ ("rounds", Json.Int 1_000_000) ])
             ();
+          (* Malformed instances: the client encoder validates with
+             the v1 parser, so both wires refuse with one message. *)
+          both "tree parent after child" ~meth:"partition"
+            ~params:
+              (partition_params ~algorithm:"procmin"
+                 ~instance:
+                   (Json.Obj
+                      [
+                        ("kind", Json.String "tree");
+                        ("weights", ints [ 5; 3; 2 ]);
+                        ("parents", Json.List [ ints [ 2; 1 ]; ints [ 0; 1 ] ]);
+                      ])
+                 ~k:9 ())
+            ();
+          both "negative alpha" ~meth:"partition"
+            ~params:
+              (partition_params
+                 ~instance:
+                   (Json.Obj
+                      [
+                        ("kind", Json.String "chain");
+                        ("alpha", ints [ 4; -2; 7 ]);
+                        ("beta", ints [ 1; 1 ]);
+                      ])
+                 ~k:9 ())
+            ();
+          both "short beta" ~meth:"partition"
+            ~params:
+              (partition_params
+                 ~instance:
+                   (Json.Obj
+                      [
+                        ("kind", Json.String "chain");
+                        ("alpha", ints [ 4; 2; 7 ]);
+                        ("beta", ints [ 1 ]);
+                      ])
+                 ~k:9 ())
+            ();
           (* sleep without enable_debug: identical refusal. *)
           both "sleep disabled" ~meth:"sleep"
             ~params:(Json.Obj [ ("ms", Json.Int 5) ])
@@ -625,7 +929,7 @@ let test_loopback_v2_cache_hit_bytes () =
           let second = recv_frame fd in
           Alcotest.(check string) "cache hit replays bytes" first second;
           match decode_payload first with
-          | Cframe.Result { id = Json.Int 1; _ } -> ()
+          | Sframe.Result { id = Json.Int 1; _ } -> ()
           | _ -> Alcotest.fail "response did not decode as result for id 1"))
 
 let test_loopback_bad_hello_closes () =
@@ -683,10 +987,14 @@ let suite =
     Alcotest.test_case "binval float exactness" `Quick test_binval_float_exact;
     test_digest_parity_chain;
     test_digest_parity_tree;
-    Alcotest.test_case "request encoders agree" `Quick
-      test_request_encoders_agree;
-    Alcotest.test_case "text instance needs v1" `Quick
-      test_text_instance_needs_v1;
+    Alcotest.test_case "golden frames" `Quick test_golden_frames;
+    Alcotest.test_case "request frames round trip" `Quick
+      test_request_frames_round_trip;
+    test_request_frame_property;
+    Alcotest.test_case "text instance encodes inline" `Quick
+      test_text_instance_encodes_inline;
+    Alcotest.test_case "decoder refusals match v1" `Quick
+      test_decoder_refusals_match_v1;
     Alcotest.test_case "error frames differential" `Quick
       test_error_frames_differential;
     Alcotest.test_case "ok frames differential" `Quick

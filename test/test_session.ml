@@ -510,9 +510,9 @@ let test_loopback_v2_cache_bytes () =
                      ("session", Json.String "v2ck");
                    ])
           in
-          (match Tlp_client.Frame.decode_response opened with
-          | Ok (Tlp_client.Frame.Result _) -> ()
-          | Ok (Tlp_client.Frame.Rpc_err { message; _ }) ->
+          (match Tlp_server.Frame.decode_response opened with
+          | Ok (Tlp_server.Frame.Result _) -> ()
+          | Ok (Tlp_server.Frame.Rpc_err { message; _ }) ->
               Alcotest.failf "open failed: %s" message
           | Error msg -> Alcotest.failf "undecodable open response: %s" msg);
           let resolve ~id =

@@ -204,8 +204,10 @@ let test_over_limit with_target () =
         lor Char.code reply.[8]
       in
       Alcotest.(check int) "nothing after the error frame" (n - 9) len;
-      match Cframe.decode_response (String.sub reply 9 len) with
-      | Ok (Cframe.Rpc_err { id = Json.Null; code = "bad_request"; message })
+      match Tlp_server.Frame.decode_response (String.sub reply 9 len) with
+      | Ok
+          (Tlp_server.Frame.Rpc_err
+             { id = Json.Null; code = Tlp_server.Protocol.Bad_request; message })
         ->
           check_string "v2 limit message" frame_limit_message message
       | _ -> Alcotest.fail "v2 over-limit prefix not answered bad_request")
